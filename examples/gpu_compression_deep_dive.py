@@ -15,7 +15,7 @@ observable:
 Run:  python examples/gpu_compression_deep_dive.py
 """
 
-from repro.compression import LzssCodec, Match
+from repro.compression import LzssCodec
 from repro.compression.postprocess import refine_to_container
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.workload.datagen import BlockContentGenerator
@@ -43,7 +43,7 @@ def main() -> None:
     # 2. Raw per-segment results.
     print(f"\nraw GPU output ({SEGMENTS} segments):")
     for seg in outputs:
-        matches = sum(1 for t in seg.tokens if isinstance(t, Match))
+        matches = int((seg.tokens[:, 0] > 0).sum())  # distance 0: literal
         literals = len(seg.tokens) - matches
         print(f"  segment {seg.segment_index}: bytes "
               f"[{seg.start:4d},{seg.end:4d})  "

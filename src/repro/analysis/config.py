@@ -163,7 +163,6 @@ class LintConfig:
     effect_benign_globals: tuple[str, ...] = (
         "repro.compression.lz_common._KEY3_CACHE",
         "repro.compression.quicklz._HASH_CACHE",
-        "repro.compression.lzss._OCC_CACHE",
         "repro.dedup.index_base._CACHES",
     )
     #: Classes whose *self*-mutations are memo bookkeeping (hit/miss
@@ -179,7 +178,6 @@ class LintConfig:
     shared_view_providers: tuple[str, ...] = (
         "repro.compression.lz_common.key3_array",
         "repro.compression.lz_common.cached_key3_array",
-        "repro.compression.lzss.occurrence_index",
     )
     #: Functions whose return value is a *cache container* owned by an
     #: audited benign global: installs into the returned dict are the
@@ -222,7 +220,6 @@ class LintConfig:
     shared_state_audited: tuple[str, ...] = (
         "repro.compression.lz_common._KEY3_CACHE",
         "repro.compression.quicklz._HASH_CACHE",
-        "repro.compression.lzss._OCC_CACHE",
         "repro.dedup.index_base._CACHES",
     )
 

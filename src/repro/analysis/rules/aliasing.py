@@ -1,8 +1,7 @@
 """Escape-then-mutate aliasing rule (REP702).
 
 The fast paths share buffers by *reference*: ``lz_common.key3_array``
-hands the same cached key array to every codec instance,
-``occurrence_index`` shares frozen occurrence lists, ``ChunkBatch``
+hands the same cached key array to every codec instance, ``ChunkBatch``
 exposes its offset/size numpy columns as views that the batched plane
 slices without copying, and the memo classes return the exact cached
 object on a hit.  One in-place write through any of those aliases

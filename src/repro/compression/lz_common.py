@@ -25,6 +25,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from repro.errors import CompressionError, CorruptStreamError
 
 
@@ -278,6 +280,55 @@ def tokens_to_bytes(tokens: list[Token], original_length: int,
     return bytes(out)
 
 
+def match_tokens(n: int, positions: list[int], distances: list[int],
+                 lengths: list[int]) -> np.ndarray:
+    """Token array of a parse of ``n`` bytes, from its matches alone.
+
+    The greedy producers carry tokens as ``(distance, length)`` rows;
+    distance 0 is a literal of length 1, whose byte is the input byte at
+    its position.
+    """
+    starts = np.asarray(positions, dtype=np.int64)
+    sizes = np.asarray(lengths, dtype=np.int64)
+    inside = np.zeros(n + 1, dtype=np.int64)
+    inside[starts + 1] += 1
+    inside[starts + sizes] -= 1
+    at = np.flatnonzero(np.cumsum(inside[:n]) == 0)
+    tokens = np.zeros((len(at), 2), dtype=np.int64)
+    tokens[:, 1] = 1
+    rows = np.searchsorted(at, starts)
+    tokens[rows, 0] = distances
+    tokens[rows, 1] = sizes
+    return tokens
+
+
+def pack_tokens(data: bytes, tokens: np.ndarray,
+                params: LzParams = DEFAULT_PARAMS) -> bytes:
+    """Serialize a validated token array covering ``data``.
+
+    Byte-identical to :func:`tokens_to_bytes` on the same stream: each
+    group of 8 tokens is a flags byte followed by its tokens' bodies.
+    """
+    distance, length = tokens[:, 0], tokens[:, 1]
+    is_match = distance > 0
+    body = 1 + is_match
+    # Offset of each body: header, one flags byte per group so far, and
+    # the bodies before it.
+    at = 5 + (np.arange(len(tokens)) >> 3) + np.cumsum(body) - body
+    out = np.zeros(4 + (len(tokens) + 7) // 8 + int(body.sum()),
+                   dtype=np.uint8)
+    out[:4] = np.frombuffer(struct.pack(">I", len(data)), dtype=np.uint8)
+    out[at[::8] - 1] = np.packbits(is_match, bitorder="little")
+    literal = ~is_match
+    out[at[literal]] = np.frombuffer(data, dtype=np.uint8)[
+        (np.cumsum(length) - length)[literal]]
+    code = ((distance[is_match] - 1) << 4) | (length[is_match]
+                                              - params.min_match)
+    out[at[is_match]] = code >> 8
+    out[at[is_match] + 1] = code & 0xFF
+    return out.tobytes()
+
+
 def bytes_to_tokens(blob: bytes,
                     params: LzParams = DEFAULT_PARAMS) -> tuple[list[Token], int]:
     """Parse the canonical container back into (tokens, original_length)."""
@@ -337,10 +388,3 @@ def decode_tokens(tokens: Iterable[Token]) -> bytes:
         else:
             out.append(token.value)
     return bytes(out)
-
-
-def compression_ratio(original: int, compressed: int) -> float:
-    """original/compressed, guarding the degenerate empty case."""
-    if compressed <= 0:
-        return 1.0 if original == 0 else float("inf")
-    return original / compressed

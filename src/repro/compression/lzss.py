@@ -1,9 +1,9 @@
 """Serial LZSS codec: the library's reference compressor.
 
-A textbook LZSS with a hash-chain match finder.  Greedy parsing by
-default; optional lazy matching (one-byte lookahead) squeezes out a
-slightly better ratio at a higher search cost, which the CPU cost model
-prices accordingly.
+A textbook LZSS.  Greedy parsing by default, over an array best-match
+table; optional lazy matching (one-byte lookahead, over a hash-chain
+finder) squeezes out a slightly better ratio at a higher search cost,
+which the CPU cost model prices accordingly.
 
 This codec defines the canonical compressed format (see
 :mod:`~repro.compression.lz_common`), and its decoder is the single
@@ -13,10 +13,11 @@ segment-parallel path after post-processing.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left
-from collections import OrderedDict, defaultdict, deque
+from collections import defaultdict, deque
 from typing import Optional
+
+import numpy as np
 
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
@@ -28,6 +29,8 @@ from repro.compression.lz_common import (
     common_prefix_length,
     decode_tokens,
     key3_array,
+    match_tokens,
+    pack_tokens,
     tokens_to_bytes,
 )
 from repro.compression.memo import CodecMemo, payload_fingerprint
@@ -47,22 +50,18 @@ class MatchFinder:
     """Hash-chain search for the longest backward match at a position.
 
     Positions are inserted as the encoder advances; lookups only consider
-    candidates no further back than the window and no earlier than
-    ``min_start`` (used by the GPU segment path to clamp history to the
-    overlap region).
-
-    The table is keyed by the rolling 3-byte key array
-    (:func:`~repro.compression.lz_common.key3_array`), computed once for
-    the whole buffer.  Callers that build several finders over the same
-    buffer (the GPU segment kernel) pass the precomputed array via
-    ``keys`` so it is shared rather than rebuilt per segment.
+    candidates no further back than the window.  The lazy parse uses it:
+    its lookahead inserts a position early (and again after it), which
+    shifts chain eviction in a way the :class:`MatchTable` of the greedy
+    parse does not model.  The table is keyed by the rolling 3-byte key
+    array
+    (:func:`~repro.compression.lz_common.key3_array`).
     """
 
-    def __init__(self, data: bytes, params: LzParams = DEFAULT_PARAMS,
-                 keys: Optional[list[int]] = None):
+    def __init__(self, data: bytes, params: LzParams = DEFAULT_PARAMS):
         self.data = data
         self.params = params
-        self._keys = key3_array(data) if keys is None else keys
+        self._keys = key3_array(data)
         # defaultdict so the hot insert path is a single C-level getitem;
         # lookups that must not create entries go through .get().
         self._chains: "defaultdict[int, deque[int]]" = defaultdict(_new_chain)
@@ -79,33 +78,20 @@ class MatchFinder:
         for pos in range(start, min(end, len(self.data) - 2)):
             chains[keys[pos]].append(pos)
 
-    def best_match(self, pos: int,
-                   min_start: int = 0) -> Optional[tuple[int, int]]:
-        """``(distance, length)`` of the best match at ``pos``, or None.
-
-        The tuple-returning core of :meth:`longest_match`; the fused
-        encoder calls it directly to skip :class:`Match` construction on
-        the hot path.
-        """
+    def longest_match(self, pos: int) -> Optional[Match]:
+        """The best match at ``pos``, or None."""
         data, params = self.data, self.params
         n = len(data)
-        if pos + 3 > n:
-            return None
-        limit = n - pos
-        if limit > params.max_match:
-            limit = params.max_match
-        if limit < params.min_match:
+        limit = min(n - pos, params.max_match)
+        if pos + 3 > n or limit < params.min_match:
             return None
         chain = self._chains.get(self._keys[pos])
         if not chain:
             return None
         window_start = pos - params.window
-        if min_start > window_start:
-            window_start = min_start
         best_len = params.min_match - 1
         best_dist = 0
         probe = pos + best_len
-        cpl = common_prefix_length
         for candidate in reversed(chain):
             if candidate < window_start:
                 break
@@ -115,143 +101,164 @@ class MatchFinder:
             # winning (length, distance) pair exactly.
             if data[candidate + best_len] != data[probe]:
                 continue
-            length = cpl(data, candidate, pos, limit)
+            length = common_prefix_length(data, candidate, pos, limit)
             if length > best_len:
                 best_len = length
                 best_dist = pos - candidate
                 if length >= limit:
                     break
                 probe = pos + best_len
-        if best_dist:
-            return (best_dist, best_len)
-        return None
-
-    def longest_match(self, pos: int,
-                      min_start: int = 0) -> Optional[Match]:
-        """Best match at ``pos`` whose source starts at >= ``min_start``."""
-        best = self.best_match(pos, min_start)
-        if best is None:
-            return None
-        return Match(distance=best[0], length=best[1])
+        return Match(best_dist, best_len) if best_dist else None
 
 
-#: Content-keyed cache of per-key occurrence indexes (same pattern and
-#: rationale as :data:`repro.compression.lz_common._KEY3_CACHE`).
-_OCC_CACHE: "OrderedDict[bytes, dict[int, list[int]]]" = OrderedDict()
-_OCC_CACHE_ENTRIES = 16
+def _prefix_lengths(words: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    cap: np.ndarray, max_cap: int) -> np.ndarray:
+    """Common prefix of ``data[a:]`` and ``data[b:]`` per pair, capped.
 
-
-def occurrence_index(data: bytes,
-                     keys: Optional[list[int]] = None) -> dict[int, list[int]]:
-    """Sorted position lists per rolling key, for the whole buffer.
-
-    The shared read-only half of the greedy fast path: built once per
-    buffer (and content-cached), it answers "which earlier positions
-    share this 3-byte key" for *any* query position via one bisect,
-    replacing per-position hash-chain maintenance.  Callers must treat
-    the index as read-only.
+    ``words[i]`` is ``data[i:i+8]`` read as a little-endian u64, so the
+    first differing byte of two words is the lowest set byte of their
+    XOR.  Isolating the lowest set bit gives a power of two, which
+    ``frexp`` reads off exactly.
     """
-    if type(data) is bytes:
-        cached = _OCC_CACHE.get(data)
-        if cached is not None:
-            _OCC_CACHE.move_to_end(data)
-            return cached
-    if keys is None:
-        keys = key3_array(data)
-    occ: "defaultdict[int, list[int]]" = defaultdict(list)
-    for pos, key in enumerate(keys):
-        occ[key].append(pos)
-    # Freeze: lookups after construction must never create entries.
-    occ.default_factory = None
-    if type(data) is bytes:
-        _OCC_CACHE[data] = occ
-        while len(_OCC_CACHE) > _OCC_CACHE_ENTRIES:
-            _OCC_CACHE.popitem(last=False)
-    return occ
+    length = np.zeros(len(a), dtype=np.int64)
+    running = np.ones(len(a), dtype=bool)
+    for offset in range(0, max_cap, 8):
+        x = words[a + offset] ^ words[b + offset]
+        lowest = (x & (~x + np.uint64(1))).astype(np.float64)
+        same = np.where(x == 0, 8, (np.frexp(lowest)[1] - 1) >> 3)
+        length += np.where(running, same, 0)
+        running &= same == 8
+    return np.minimum(length, cap)
 
 
-class IndexedMatchFinder:
-    """Read-only match finder over a prebuilt occurrence index.
+#: Bit split of a closed position's packed ``(distance, length)``; the
+#: 12-bit distance field keeps distances below it.
+_DIST_BITS = 13
+_DIST_MASK = (1 << _DIST_BITS) - 1
 
-    Byte-identical to driving a :class:`MatchFinder` through the greedy
-    insert discipline — every position inserted exactly once, in
-    increasing order, before any query at a later position.  Under that
-    discipline the bounded chain the incremental finder would hold at a
-    query is exactly the last ``_MAX_CHAIN`` occurrences of the key
-    below the query position, which the index reads off with one bisect;
-    candidates older than the window (or ``min_start``) terminate the
-    scan in both implementations, so pre-seeded history that starts
-    later than position 0 (the GPU segment overlap) is covered too.
 
-    NOT valid for the lazy parse: its lookahead probe double-inserts
-    positions, which shifts chain eviction — lazy keeps the incremental
-    finder.
+class MatchTable:
+    """The greedy best match at every position of one buffer.
+
+    The best match at ``pos`` is the answer a :class:`MatchFinder`
+    gives under the greedy insert discipline (every position inserted
+    once, in order, before any later query): scan the last
+    ``_MAX_CHAIN`` earlier positions with ``pos``'s 3-byte key, nearest
+    first, stop at the window, keep a candidate only on a strictly
+    longer common prefix capped at ``min(max_match, n - pos)``, and
+    report it if it reaches ``min_match``.  Nothing in that depends on where a parse started,
+    so one table serves the serial greedy parse and every GPU segment
+    thread over the same chunk; each walk applies its own segment clamp.
+
+    numpy answers the nearest candidate of every position at once:
+    sorting ``key << bits | pos`` puts each position right behind its
+    previous occurrence, and XORs of 8-byte words give the prefix.  The
+    nearest answer is final unless a deeper candidate lies inside the
+    window and the nearest fell short of the cap.  Only at those *open*
+    positions, and only when a walk visits one, does :meth:`_scan` run
+    the exact chain search.
     """
 
-    def __init__(self, data: bytes, params: LzParams = DEFAULT_PARAMS,
-                 keys: Optional[list[int]] = None,
-                 index: Optional[dict[int, list[int]]] = None):
+    def __init__(self, data: bytes, params: LzParams = DEFAULT_PARAMS):
         self.data = data
         self.params = params
-        self._keys = key3_array(data) if keys is None else keys
-        self._occ = (occurrence_index(data, self._keys)
-                     if index is None else index)
-        self._window = params.window
-        self._min_match = params.min_match
-        self._max_match = params.max_match
-
-    def best_match(self, pos: int,
-                   min_start: int = 0) -> Optional[tuple[int, int]]:
-        """``(distance, length)`` of the best match at ``pos``, or None."""
-        data = self.data
         n = len(data)
-        if pos + 3 > n:
-            return None
-        limit = n - pos
-        if limit > self._max_match:
-            limit = self._max_match
-        if limit < self._min_match:
-            return None
-        occ_k = self._occ.get(self._keys[pos])
-        if occ_k is None:
-            return None
-        i = bisect_left(occ_k, pos)
-        if i == 0:
-            return None
-        window_start = pos - self._window
-        if min_start > window_start:
-            window_start = min_start
-        stop = i - _MAX_CHAIN
-        if stop < 0:
-            stop = 0
-        best_len = self._min_match - 1
-        best_dist = 0
-        probe = pos + best_len
-        cpl = common_prefix_length
-        for idx in range(i - 1, stop - 1, -1):
-            candidate = occ_k[idx]
-            if candidate < window_start:
-                break
-            if data[candidate + best_len] != data[probe]:
-                continue
-            length = cpl(data, candidate, pos, limit)
-            if length > best_len:
-                best_len = length
-                best_dist = pos - candidate
-                if length >= limit:
-                    break
-                probe = pos + best_len
-        if best_dist:
-            return (best_dist, best_len)
-        return None
+        keyed = max(0, n - 2)  # positions with a full 3-byte key
+        buf = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+        keys = (buf[:keyed] << 16) | (buf[1:keyed + 1] << 8) | buf[2:]
+        bits = max(1, keyed.bit_length())
+        ranked = np.sort((keys << bits) | np.arange(keyed))
+        order = ranked & ((1 << bits) - 1)
+        same = (ranked[1:] >> bits) == (ranked[:-1] >> bits)
+        prev = np.full(keyed, -1, dtype=np.int64)
+        prev[order[1:][same]] = order[:-1][same]
+        pos = np.arange(keyed)
+        floor = np.maximum(pos - params.window, 0)
+        cap = np.minimum(n - pos, params.max_match)
+        near = (prev >= floor) & (cap >= params.min_match)
+        pos, cand, cap, floor = pos[near], prev[near], cap[near], floor[near]
+        padded = data + bytes(params.max_match + 8)
+        words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded,
+                           strides=(1,)).copy()
+        length = _prefix_lengths(words, cand, pos, cap, params.max_match)
+        packed = np.where(length >= params.min_match,
+                          (length << _DIST_BITS) | (pos - cand), 0)
+        # Open: a deeper candidate is in the window and the nearest one
+        # fell short of the cap, so it might be beaten.
+        is_open = (prev[cand] >= floor) & (length < cap)
+        if is_open.any():
+            # Lowest candidate the exact scan may reach: the window edge
+            # or the deepest chain entry, whichever is nearer.
+            start = np.ones(keyed, dtype=bool)
+            start[1:] = ~same
+            group = np.maximum.accumulate(
+                np.where(start, np.arange(keyed), 0))
+            rank = np.empty(keyed, dtype=np.int64)
+            rank[order] = np.arange(keyed)
+            at = rank[pos[is_open]]
+            deepest = order[np.maximum(group[at], at - _MAX_CHAIN)]
+            packed[is_open] = ~np.maximum(deepest, floor[is_open])
+        found = packed != 0
+        #: Positions where a match may start, and for each either the
+        #: packed nearest answer or, at an open position, ``~lowest``.
+        self._starts = pos[found].tolist()
+        self._packed = packed[found].tolist()
 
-    def longest_match(self, pos: int,
-                      min_start: int = 0) -> Optional[Match]:
-        """Best match at ``pos`` whose source starts at >= ``min_start``."""
-        best = self.best_match(pos, min_start)
-        if best is None:
-            return None
-        return Match(distance=best[0], length=best[1])
+    def _scan(self, pos: int, lowest: int) -> tuple[int, int]:
+        """The exact chain scan at an open position.
+
+        Every position in ``[lowest, pos)`` holding ``pos``'s 3-byte key
+        is in the bounded chain, so the nearest candidate sharing at
+        least ``k >= 3`` bytes with ``pos`` is one ``rfind``.  The scan's
+        answer is the largest such ``k`` up to the cap, at the nearest
+        candidate reaching it; a binary search over ``k`` finds it,
+        probing the cap first since a full-length match is common.
+        """
+        data = self.data
+        low = self.params.min_match - 1
+        high = min(self.params.max_match, len(data) - pos)
+        best_dist = 0
+        probe = high
+        while low < high:
+            need = max(probe, 3)
+            candidate = data.rfind(data[pos:pos + need], lowest,
+                                   pos - 1 + need)
+            if candidate < 0:
+                high = probe - 1
+            else:
+                low, best_dist = probe, pos - candidate
+            probe = (low + high + 1) >> 1
+        return best_dist, low
+
+    def walk(self, start: int,
+             end: int) -> tuple[list[int], list[int], list[int]]:
+        """Greedy parse of ``[start, end)``: its matches' positions,
+        distances and lengths.  A match that would run past ``end``
+        becomes a literal, as a segment thread must clamp at its own
+        boundary; every other position is a literal."""
+        starts, packed_at = self._starts, self._packed
+        positions: list[int] = []
+        distances: list[int] = []
+        sizes: list[int] = []
+        count = len(starts)
+        index = bisect_left(starts, start)
+        while index < count:
+            pos = starts[index]
+            if pos >= end:
+                break
+            packed = packed_at[index]
+            if packed < 0:
+                distance, length = self._scan(pos, ~packed)
+            else:
+                distance, length = packed & _DIST_MASK, packed >> _DIST_BITS
+            if distance and pos + length <= end:
+                positions.append(pos)
+                distances.append(distance)
+                sizes.append(length)
+                index = bisect_left(starts, pos + length, index)
+            else:
+                index += 1
+        return positions, distances, sizes
 
 
 class LzssCodec:
@@ -272,13 +279,17 @@ class LzssCodec:
 
     def encode_to_tokens(self, data: bytes) -> list[Token]:
         """Produce the token list for ``data`` (greedy or lazy parse)."""
+        if not self.lazy:
+            return bytes_to_tokens(self._encode_fresh(data), self.params)[0]
+        # The lazy lookahead inserts a position early, so it keeps the
+        # incremental finder.
         finder = MatchFinder(data, self.params)
         tokens: list[Token] = []
         pos = 0
         n = len(data)
         while pos < n:
             match = finder.longest_match(pos)
-            if match is not None and self.lazy and pos + 1 < n:
+            if match is not None and pos + 1 < n:
                 finder.insert(pos)
                 next_match = finder.longest_match(pos + 1)
                 if next_match is not None and next_match.length > match.length:
@@ -286,13 +297,10 @@ class LzssCodec:
                     tokens.append(Literal(data[pos]))
                     pos += 1
                     continue
-                match_here = match
-            else:
-                match_here = match
-            if match_here is not None:
-                tokens.append(match_here)
-                finder.insert_range(pos, pos + match_here.length)
-                pos += match_here.length
+            if match is not None:
+                tokens.append(match)
+                finder.insert_range(pos, pos + match.length)
+                pos += match.length
             else:
                 tokens.append(Literal(data[pos]))
                 finder.insert(pos)
@@ -326,57 +334,9 @@ class LzssCodec:
         if self.lazy:
             tokens = self.encode_to_tokens(data)
             return tokens_to_bytes(tokens, len(data), self.params)
-        return self._encode_greedy(data)
-
-    def _encode_greedy(self, data: bytes) -> bytes:
-        """Greedy parse fused with container packing.
-
-        Byte-identical to ``tokens_to_bytes(self.encode_to_tokens(data),
-        ...)`` for the greedy parse — same candidate chains (via
-        :class:`IndexedMatchFinder`), same decisions, same 8-token flag
-        groups — minus the incremental chain maintenance, the
-        intermediate Token objects, and the second serialization pass.
-        """
-        n = len(data)
-        out = bytearray(struct.pack(">I", n))
-        if n == 0:
-            return bytes(out)
-        finder = IndexedMatchFinder(data, self.params)
-        best = finder.best_match
-        occ = finder._occ
-        keys = finder._keys
-        min_match = self.params.min_match
-        last = n - 3
-        append = out.append
-        pos = 0
-        # One iteration per 8-token flag group; a group is only opened
-        # when at least one token follows, which reproduces the grouping
-        # (and the no-trailing-flags-byte property) of tokens_to_bytes.
-        while pos < n:
-            flags = 0
-            flag_pos = len(out)
-            append(0)  # placeholder for this group's flags byte
-            bit = 0
-            while bit < 8 and pos < n:
-                m = None
-                if pos <= last:
-                    # occ[keys[pos]] always exists and contains pos; an
-                    # earlier occurrence is required for any candidate.
-                    if occ[keys[pos]][0] < pos:
-                        m = best(pos)
-                if m is not None:
-                    distance, length = m
-                    flags |= 1 << bit
-                    d = distance - 1  # 1-based -> 12 bits
-                    append((d >> 4) & 0xFF)
-                    append(((d & 0x0F) << 4) | ((length - min_match) & 0x0F))
-                    pos += length
-                else:
-                    append(data[pos])
-                    pos += 1
-                bit += 1
-            out[flag_pos] = flags
-        return bytes(out)
+        tokens = match_tokens(len(data), *MatchTable(
+            data, self.params).walk(0, len(data)))
+        return pack_tokens(data, tokens, self.params)
 
     # -- decoding ----------------------------------------------------------
 

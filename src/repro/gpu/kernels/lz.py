@@ -7,7 +7,7 @@ on each chunk*: the chunk is cut into segments, every thread runs an LZ
 match search over its own segment, and adjacent threads overlap by the
 history-window size so matches may reach back across the segment seam.
 
-The kernel's output is deliberately *raw*: per-segment token lists that
+The kernel's output is deliberately *raw*: per-segment token arrays that
 have not been stitched into a single valid stream ("The GPU's compression
 results are not refined in GPU due to performance issues").  The CPU-side
 refinement lives in :mod:`repro.compression.postprocess`.
@@ -15,9 +15,9 @@ refinement lives in :mod:`repro.compression.postprocess`.
 Two kernel classes share one cost model:
 
 * :class:`SegmentLzKernel` — payload mode: really searches matches (via
-  the same :class:`~repro.compression.lzss.MatchFinder` the CPU codec
-  uses, clamped to the segment + overlap), optionally through the SIMT
-  executor so divergence is *measured*.
+  the same :class:`~repro.compression.lzss.MatchTable` the CPU codec's
+  greedy parse uses, clamped to the segment), optionally through the
+  SIMT executor so divergence is *measured*.
 * :class:`DescriptorLzKernel` — descriptor mode for large timed runs:
   no payload, synthetic output sizes from the workload's compression
   ratio, analytic divergence.
@@ -28,15 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.compression.lz_common import (
-    DEFAULT_PARAMS,
-    Literal,
-    LzParams,
-    Match,
-    Token,
-    key3_array,
-)
-from repro.compression.lzss import IndexedMatchFinder, occurrence_index
+import numpy as np
+
+from repro.compression.lz_common import DEFAULT_PARAMS, LzParams, match_tokens
+from repro.compression.lzss import MatchTable
 from repro.errors import KernelError
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.kernel import Kernel, KernelCost
@@ -74,13 +69,18 @@ def _lz_cost(name: str, threads: int, total_bytes: int, segment_bytes: int,
 
 @dataclass
 class SegmentOutput:
-    """Raw output of one segment thread: tokens covering [start, end)."""
+    """Raw output of one segment thread: tokens covering [start, end).
+
+    ``tokens`` is a ``(k, 2)`` array of ``(distance, length)`` rows;
+    distance 0 is a literal
+    (:func:`~repro.compression.lz_common.match_tokens`).
+    """
 
     chunk_index: int
     segment_index: int
     start: int
     end: int
-    tokens: list[Token]
+    tokens: np.ndarray
 
 
 class SegmentLzKernel(Kernel):
@@ -116,53 +116,24 @@ class SegmentLzKernel(Kernel):
         end = min(len(chunk), start + seg_len)
         return start, end
 
-    def _search_segment(self, chunk: bytes, start: int, end: int,
-                        work_hook=None,
-                        keys: Optional[list[int]] = None,
-                        index: Optional[dict] = None) -> list[Token]:
-        """Greedy LZ parse of chunk[start:end] with overlap history.
-
-        The finder sees exactly the history a per-segment incremental
-        finder would have been seeded with — the ``window`` bytes before
-        the segment (the overlap region the paper describes) plus every
-        position already parsed — so matches may reference backwards
-        across the seam; they are valid in the final sequential stream
-        because the decoder has full history by then.
-
-        ``keys``/``index`` are the chunk's precomputed rolling-key array
-        and occurrence index, shared read-only by every segment thread
-        over the same chunk.  Each thread's *candidate chains* are still
-        private as far as the output is concerned: the index reproduces
-        the bounded chain each thread's own finder would hold (see
-        :class:`~repro.compression.lzss.IndexedMatchFinder`).
-        """
-        finder = IndexedMatchFinder(chunk, self.params,
-                                    keys=keys, index=index)
-        best = finder.best_match
-        tokens: list[Token] = []
-        append = tokens.append
-        pos = start
-        while pos < end:
-            if work_hook is not None:
-                work_hook(1)
-            m = best(pos)
-            if m is not None and pos + m[1] <= end:
-                append(Match(distance=m[0], length=m[1]))
-                pos += m[1]
-            else:
-                append(Literal(chunk[pos]))
-                pos += 1
-        return tokens
-
     def execute(self) -> list[list[SegmentOutput]]:
-        """Return raw per-segment outputs, grouped by chunk."""
+        """Return raw per-segment outputs, grouped by chunk.
+
+        Each thread runs a greedy LZ parse of its segment over the
+        chunk's shared :class:`~repro.compression.lzss.MatchTable`.  The
+        history a thread sees is the ``window`` bytes before its segment
+        (the overlap region the paper describes) plus every position it
+        has parsed, so matches may reference backwards across the seam;
+        they are valid in the final sequential stream because the
+        decoder has full history by then.  A thread clamps its last
+        match at its own segment end.
+        """
         n_threads = len(self.chunks) * self.segments_per_chunk
-        outputs: list[list[Optional[SegmentOutput]]] = [
+        walks: list[list[Optional[tuple]]] = [
             [None] * self.segments_per_chunk for _ in self.chunks]
-        # One rolling-key array and occurrence index per chunk, shared
-        # read-only by all its segment threads (computed lazily so idle
-        # grid slots pay nothing).
-        shared: dict[int, tuple[list[int], dict]] = {}
+        # One match table per chunk, shared read-only by all its segment
+        # threads (built lazily so idle grid slots pay nothing).
+        tables: dict[int, MatchTable] = {}
 
         def run_thread(thread_id: int, work_hook=None) -> None:
             chunk_index, segment_index = divmod(
@@ -173,16 +144,17 @@ class SegmentLzKernel(Kernel):
                 # Chunk shorter than the segment grid: this thread idles,
                 # exactly like a real kernel's out-of-range guard.
                 return
-            state = shared.get(chunk_index)
-            if state is None:
-                keys = key3_array(chunk)
-                state = shared[chunk_index] = (
-                    keys, occurrence_index(chunk, keys))
-            tokens = self._search_segment(chunk, start, end, work_hook,
-                                          state[0], state[1])
-            outputs[chunk_index][segment_index] = SegmentOutput(
-                chunk_index=chunk_index, segment_index=segment_index,
-                start=start, end=end, tokens=tokens)
+            table = tables.get(chunk_index)
+            if table is None:
+                table = tables[chunk_index] = MatchTable(chunk, self.params)
+            positions, distances, lengths = table.walk(start, end)
+            # One token, and one unit of work, per step of the parse.
+            steps = end - start - sum(lengths) + len(lengths)
+            if work_hook is not None:
+                work_hook(steps)
+            walks[chunk_index][segment_index] = (
+                segment_index, start, end, steps,
+                positions, distances, lengths)
 
         if self.use_simt:
             wg = self.workgroup_size
@@ -197,7 +169,24 @@ class SegmentLzKernel(Kernel):
         else:
             for thread_id in range(n_threads):
                 run_thread(thread_id)
-        return [list(filter(None, per_chunk)) for per_chunk in outputs]
+        return [self._chunk_outputs(index, len(chunk),
+                                    list(filter(None, walks[index])))
+                for index, chunk in enumerate(self.chunks)]
+
+    @staticmethod
+    def _chunk_outputs(chunk_index: int, n: int,
+                       walks: list[tuple]) -> list[SegmentOutput]:
+        """Split one chunk's parse into its segments' token arrays."""
+        matches: tuple[list[int], list[int], list[int]] = ([], [], [])
+        for walk in walks:
+            for into, found in zip(matches, walk[4:]):
+                into += found
+        tokens = match_tokens(n, *matches)
+        rows = np.cumsum([0] + [walk[3] for walk in walks]).tolist()
+        return [SegmentOutput(chunk_index, index, start, end,
+                              tokens[row:next_row])
+                for (index, start, end, *_), row, next_row
+                in zip(walks, rows, rows[1:])]
 
     # -- timing -------------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 These are the byte-at-a-time encoders/decoders exactly as they existed
 before the data-plane fast path (shared key array, slice-doubling match
-extension, slice copy-out) replaced their inner loops.  They are kept
-in-tree as *executable specifications*: ``test_dataplane_equivalence``
-asserts the production codecs emit byte-identical streams on an
-adversarial corpus, and round-trips each stream through both decoder
+extension, slice copy-out) replaced their inner loops, plus the GPU
+segment search, refinement and packing on ``Literal``/``Match`` objects
+as they were before tokens became arrays.  They are kept in-tree as
+*executable specifications*: ``test_dataplane_equivalence`` asserts the
+production codecs emit byte-identical streams on an adversarial corpus
+and random inputs, and round-trips each stream through both decoder
 generations.
 
 Deliberately slow — do not import from production code.
@@ -22,6 +24,8 @@ from repro.compression.lz_common import (
     LzParams,
     Match,
     Token,
+    common_prefix_length,
+    token_output_length,
     tokens_to_bytes,
 )
 from repro.errors import CompressionError, CorruptStreamError
@@ -268,3 +272,104 @@ def reference_segment_tokens(chunk: bytes, start: int, end: int,
             finder.insert(pos)
             pos += 1
     return tokens
+
+
+# -- GPU refinement: the pre-array Token-object path -------------------------
+
+def reference_segment_bounds(n: int, segments: int) -> list[tuple[int, int]]:
+    """The non-empty ``[start, end)`` segments a kernel cuts ``n`` into."""
+    seg_len = max(1, (n + segments - 1) // segments)
+    bounds = [(index * seg_len, min(n, index * seg_len + seg_len))
+              for index in range(segments)]
+    return [(start, end) for start, end in bounds if start < end]
+
+
+def reference_validate_segments(segments, chunk_length: int,
+                                params: LzParams = DEFAULT_PARAMS) -> None:
+    """Raise unless ``(start, end, tokens)`` segments tile the chunk."""
+    expected_start = 0
+    for index, (start, end, tokens) in enumerate(segments):
+        if start != expected_start:
+            raise CompressionError(
+                f"segment {index} starts at {start}, "
+                f"expected {expected_start}")
+        span = token_output_length(tokens)
+        if span != end - start:
+            raise CompressionError(
+                f"segment {index} tokens expand to {span} "
+                f"bytes, span is {end - start}")
+        position = start
+        for token in tokens:
+            if isinstance(token, Match):
+                token.validate(params)
+                if token.distance > position:
+                    raise CompressionError(
+                        f"segment {index} match at {position} "
+                        f"reaches {token.distance} bytes back")
+                position += token.length
+            else:
+                position += 1
+        expected_start = end
+    if expected_start != chunk_length:
+        raise CompressionError(
+            f"segments cover {expected_start} bytes of a "
+            f"{chunk_length}-byte chunk")
+
+
+def _reference_extend_across_seam(chunk: bytes, merged: list[Token],
+                                  next_tokens: list[Token], seam: int,
+                                  params: LzParams
+                                  ) -> tuple[list[Token], int]:
+    if not merged or not next_tokens:
+        return next_tokens, 0
+    last = merged[-1]
+    if not isinstance(last, Match) or last.length >= params.max_match:
+        return next_tokens, 0
+    cap = params.max_match - last.length
+    lead = 0
+    while (lead < cap and lead < len(next_tokens)
+           and isinstance(next_tokens[lead], Literal)):
+        lead += 1
+    absorbed = common_prefix_length(
+        chunk, seam - last.distance, seam, lead)
+    if absorbed:
+        merged[-1] = Match(distance=last.distance,
+                           length=last.length + absorbed)
+    return list(next_tokens[absorbed:]), absorbed
+
+
+def reference_merge_segments(chunk: bytes, segments,
+                             params: LzParams = DEFAULT_PARAMS,
+                             repair_seams: bool = True,
+                             stats: Optional[dict] = None) -> list[Token]:
+    """Stitch ``(start, end, tokens)`` segments into one Token stream."""
+    reference_validate_segments(segments, len(chunk), params)
+    merged: list[Token] = []
+    for start, _, tokens in segments:
+        tokens = list(tokens)
+        if repair_seams and start > 0:
+            tokens, absorbed = _reference_extend_across_seam(
+                chunk, merged, tokens, start, params)
+            if stats is not None and absorbed:
+                stats["seams_extended"] = \
+                    stats.get("seams_extended", 0) + 1
+                stats["seam_bytes_absorbed"] = \
+                    stats.get("seam_bytes_absorbed", 0) + absorbed
+        merged.extend(tokens)
+    if token_output_length(merged) != len(chunk):
+        raise CompressionError("seam repair corrupted the stream length")
+    return merged
+
+
+def reference_gpu_container(chunk: bytes, segments_per_chunk: int,
+                            params: LzParams = DEFAULT_PARAMS,
+                            repair_seams: bool = True,
+                            stats: Optional[dict] = None) -> bytes:
+    """Segment search, refinement and packing, all on Token objects."""
+    segments = [(start, end,
+                 reference_segment_tokens(chunk, start, end, params))
+                for start, end in reference_segment_bounds(
+                    len(chunk), segments_per_chunk)]
+    tokens = reference_merge_segments(chunk, segments, params,
+                                      repair_seams, stats)
+    return tokens_to_bytes(tokens, len(chunk), params)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import LzssCodec
+from repro.compression import LzParams, LzssCodec
 from repro.compression.postprocess import (
     merge_segments,
     refine_to_container,
@@ -125,7 +125,10 @@ class TestSegmentLzKernel:
         plain = SegmentLzKernel([chunk], segments_per_chunk=4).execute()
         simt = SegmentLzKernel([chunk], segments_per_chunk=4,
                                use_simt=True).execute()
-        assert [s.tokens for s in plain[0]] == [s.tokens for s in simt[0]]
+        assert len(plain[0]) == len(simt[0])
+        for a, b in zip(plain[0], simt[0]):
+            assert (a.start, a.end) == (b.start, b.end)
+            assert np.array_equal(a.tokens, b.tokens)
 
     def test_simt_stats_refine_cost(self):
         chunk = _compressible(1024)
@@ -178,6 +181,14 @@ class TestSegmentLzKernel:
         assert LzssCodec().decode(blob) == chunk
 
 
+def _with_first_token(output, distance, length):
+    """Replace ``output``'s tokens by one leading token and literals
+    after it, keeping the segment's span."""
+    span = output.end - output.start
+    literals = [[0, 1]] * (span - length)
+    output.tokens = np.array([[distance, length]] + literals)
+
+
 class TestPostprocessValidation:
     def test_gap_detected(self):
         chunk = _compressible(1024)
@@ -186,12 +197,76 @@ class TestPostprocessValidation:
         with pytest.raises(CompressionError):
             merge_segments(chunk, outputs)
 
+    def test_overlap_detected(self):
+        chunk = _compressible(1024)
+        outputs = SegmentLzKernel([chunk], segments_per_chunk=4).execute()[0]
+        outputs[1].start -= 1  # overlaps segment 0
+        with pytest.raises(CompressionError):
+            merge_segments(chunk, outputs)
+
+    def test_short_coverage_detected(self):
+        chunk = _compressible(1024)
+        outputs = SegmentLzKernel([chunk], segments_per_chunk=4).execute()[0]
+        with pytest.raises(CompressionError):
+            merge_segments(chunk, outputs[:-1])
+
     def test_wrong_expansion_detected(self):
         chunk = _compressible(1024)
         outputs = SegmentLzKernel([chunk], segments_per_chunk=4).execute()[0]
-        outputs[2].tokens.pop()  # now expands short
+        outputs[2].tokens = outputs[2].tokens[:-1]  # now expands short
         with pytest.raises(CompressionError):
             merge_segments(chunk, outputs)
+
+    @pytest.mark.parametrize("distance,length,window", [
+        (257, 4, 4096),  # one byte past the 256 bytes produced
+        (65, 4, 64),     # one byte past the window
+        (-1, 4, 4096),   # negative distance
+        (10, 19, 4096),  # longer than the 4-bit length field
+        (10, 2, 4096),   # shorter than min_match
+        (0, 2, 4096),    # a literal spanning two bytes
+    ])
+    def test_bad_token_detected(self, distance, length, window):
+        """Each corruption keeps every segment's span, so only the token
+        check itself can catch it."""
+        chunk = _compressible(1024)
+        params = LzParams(window=window)
+        outputs = SegmentLzKernel([chunk], segments_per_chunk=4,
+                                  params=params).execute()[0]
+        _with_first_token(outputs[1], distance, length)
+        with pytest.raises(CompressionError):
+            merge_segments(chunk, outputs, params)
+
+    @pytest.mark.parametrize("distance,length,window", [
+        (10, 4, 4096), (256, 4, 4096), (64, 4, 64), (10, 18, 4096),
+        (10, 3, 4096)])
+    def test_hand_built_valid_token_accepted(self, distance, length,
+                                             window):
+        """The controls for test_bad_token_detected: valid tokens at the
+        same place, up to each limit, pass."""
+        chunk = _compressible(1024)
+        params = LzParams(window=window)
+        outputs = SegmentLzKernel([chunk], segments_per_chunk=4,
+                                  params=params).execute()[0]
+        _with_first_token(outputs[1], distance, length)
+        merge_segments(chunk, outputs, params)
+
+    def test_seam_extension_stops_at_length_field(self):
+        """A clamped match followed by a long run of literals that keep
+        the period grows to max_match and no further."""
+        chunk = b"abc" * 40
+        outputs = SegmentLzKernel([chunk], segments_per_chunk=2).execute()[0]
+        # Segment 0 ends with a 3-byte match clamped at the seam (60);
+        # segment 1 is all literals.
+        outputs[0].tokens = np.array([[0, 1]] * 3 + [[3, 18]] * 3
+                                     + [[3, 3]])
+        outputs[1].tokens = np.array([[0, 1]] * 60)
+        stats: dict = {}
+        tokens = merge_segments(chunk, outputs, stats=stats)
+        assert tokens[6].tolist() == [3, 18]  # 3 + 15 absorbed
+        assert tokens[7:].tolist() == [[0, 1]] * 45
+        assert stats == {"seams_extended": 1, "seam_bytes_absorbed": 15}
+        blob = refine_to_container(chunk, outputs)
+        assert LzssCodec().decode(blob) == chunk
 
     def test_seam_repair_never_hurts(self):
         chunk = _compressible(4096)
