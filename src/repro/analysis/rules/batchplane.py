@@ -9,10 +9,9 @@ the per-chunk idiom the batching retired — per-chunk attribute lookups
 and dispatch re-entering through the narrow end of the funnel.
 
 The audited exceptions — the window implementations themselves (one
-loop per window *is* the batch), the retained per-chunk reference path
-the equivalence suite diffs against, and the admission loop whose
-per-chunk event pacing is the timed contract — are baselined with
-reasons, exactly like REP502/REP503's audited sites.
+loop per window *is* the batch) and the admission loop whose per-chunk
+event pacing is the timed contract — are baselined with reasons,
+exactly like REP502/REP503's audited sites.
 """
 
 from __future__ import annotations

@@ -5,15 +5,13 @@ codec loops, and the dedup bench the index structures; this module
 watches the *functional plane of the pipeline itself* — the per-chunk
 work that is pure computation, not simulated time: materializing chunks
 from the workload stream, the SHA-1 fingerprint pass, codec dispatch,
-and the FTL's page-accounting loop.  The batched-functional-plane PR
-(``PipelineConfig.batched_functional``) is held to the same two
-promises as the earlier fast-path PRs:
+and the FTL's page-accounting loop.  The batched functional plane is
+held to the same two promises as the earlier fast paths:
 
 1. **Identity** — the pinned golden report sha256 digests are unchanged
-   across all four integration modes, *and* the per-chunk reference
-   path (``batched_functional=False``) reproduces the same digests, so
-   the batched plane is provably a layout change.  Always checked;
-   timing-free.
+   across all four integration modes.  Always checked; timing-free.
+   (The per-chunk reference feeder that proves the batched plane is a
+   layout change lives in ``tests/reference_pipeline.py``.)
 2. **Speed** — the aggregate (geometric-mean) speedup over the four
    functional microbenchmarks is >= 2x the pinned seed baselines.  The
    gate in ``benchmarks/test_p6_pipeline.py`` enforces it behind
@@ -31,7 +29,7 @@ re-run; every identity check still runs):
   with a warm codec memo over the same window (vs per-chunk compress);
 * **destage_account** — FTL fill + churn through ``Ftl.write_run``
   (vs per-page ``write`` calls);
-* **golden** — report digests for both feeder paths, all four modes.
+* **golden** — report digests of all four modes.
 
 The baseline constants below are *wall-clock measurements from one
 specific machine at the pre-batching commit* (the per-chunk path over
@@ -41,9 +39,6 @@ of machine only; the identity checks are meaningful everywhere.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import random
 from typing import Any, Optional
 
@@ -192,49 +187,6 @@ def bench_destage_account(repeats: int = 5) -> dict:
                        seconds, "pages_per_s", BASELINE_RATES)
 
 
-# -- identity ---------------------------------------------------------------
-
-def reference_report_digests(chunks: Optional[int] = None) -> dict[str, str]:
-    """Per-mode report digests through the retained per-chunk path."""
-    from repro.bench.dedup import GOLDEN_REPORT_CHUNKS
-    from repro.core.calibration import run_mode
-    from repro.core.config import PipelineConfig
-    from repro.core.modes import IntegrationMode
-
-    chunks = GOLDEN_REPORT_CHUNKS if chunks is None else chunks
-    digests: dict[str, str] = {}
-    for mode in IntegrationMode.all_modes():
-        config = PipelineConfig(mode=mode, batched_functional=False)
-        report = dataclasses.asdict(
-            run_mode(mode, chunks, base_config=config))
-        canonical = json.dumps(report, sort_keys=True)
-        digests[mode.value] = hashlib.sha256(
-            canonical.encode()).hexdigest()
-    return digests
-
-
-def check_batched_equivalence(chunks: Optional[int] = None) -> dict:
-    """Per-chunk reference digests vs the pinned goldens.
-
-    Combined with ``check_golden_reports`` (which runs the default,
-    batched path), this proves both feeder paths produce byte-identical
-    reports in every integration mode.
-    """
-    from repro.bench.dedup import GOLDEN_REPORT_CHUNKS, \
-        GOLDEN_REPORT_SHA256
-
-    chunks = GOLDEN_REPORT_CHUNKS if chunks is None else chunks
-    observed = reference_report_digests(chunks)
-    mismatches = {
-        mode: {"observed": observed.get(mode), "golden": golden}
-        for mode, golden in GOLDEN_REPORT_SHA256.items()
-        if observed.get(mode) != golden}
-    return {"chunks": chunks, "modes": len(observed),
-            "path": "per_chunk_reference",
-            "fields_ok": not mismatches,
-            **({"mismatches": mismatches} if mismatches else {})}
-
-
 # -- driver -----------------------------------------------------------------
 
 def run_pipeline_bench(quick: bool = False, profile: bool = False,
@@ -243,11 +195,10 @@ def run_pipeline_bench(quick: bool = False, profile: bool = False,
     """Run all scenarios; write ``BENCH_pipeline.json``; return the dict.
 
     ``quick`` trims repeats and skips the (slow) full-size E4 field
-    re-run — the per-mode report-digest checks for *both* feeder paths
-    still run, so CI keeps full identity coverage of the batched plane.
+    re-run — the per-mode report-digest checks still run, so CI keeps
+    full identity coverage of the batched plane.
     ``trace_path`` additionally runs one traced ``gpu_comp`` pipeline
-    (the calibration-best mode the batched feeder serves) and writes
-    its Chrome trace there.
+    (the calibration-best mode) and writes its Chrome trace there.
     """
     from repro.bench.dedup import check_golden_reports
     from repro.core.modes import IntegrationMode
@@ -262,13 +213,11 @@ def run_pipeline_bench(quick: bool = False, profile: bool = False,
         "codec_dispatch": bench_codec_dispatch(repeats=repeats),
         "destage_account": bench_destage_account(repeats=repeats),
         "golden_reports": check_golden_reports(),
-        "batched_equivalence": check_batched_equivalence(),
     }
     if not quick:
         from repro.bench.dataplane import check_golden_e4
         results["golden_e4"] = check_golden_e4()
-    fold_fields_ok(results, ("golden_reports", "batched_equivalence",
-                             "golden_e4"))
+    fold_fields_ok(results, ("golden_reports", "golden_e4"))
     set_aggregate(results, BASELINE_RATES, REQUIRED_PIPELINE_SPEEDUP)
     attach_profile(profiler, results)
     attach_trace(results, trace_path, IntegrationMode.GPU_COMP,
@@ -286,6 +235,5 @@ def render_pipeline_bench(results: dict) -> str:
              "destage_account": "pages_per_s"}
     render_rate_lines(results, units, lines)
     render_identity_lines(
-        results, ("golden_reports", "batched_equivalence", "golden_e4"),
-        lines)
+        results, ("golden_reports", "golden_e4"), lines)
     return render_tail(results, lines)

@@ -19,6 +19,7 @@ from typing import Optional
 from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
 from repro.core.pipeline import ReductionPipeline
+from repro.core.stats import PipelineReport
 from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.cpu.model import CpuSpec, I7_2600K, SimCpu
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
@@ -56,30 +57,19 @@ class CalibrationResult:
         return "\n".join(lines)
 
 
-def run_mode(mode: IntegrationMode, n_chunks: int,
-             base_config: Optional[PipelineConfig] = None,
-             cpu_spec: CpuSpec = I7_2600K,
-             gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
-             ssd_spec: SsdSpec = SAMSUNG_SSD_830,
-             cpu_costs: CpuCosts = DEFAULT_COSTS,
-             gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
-             dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
-             seed: int = 1234, tracer: Optional[Tracer] = None,
-             payload: bool = False):
-    """Run one integration mode on a fresh simulated platform.
+def _run_platform(config: PipelineConfig, stream, n_chunks: int,
+                  cpu_spec: CpuSpec, gpu_spec: Optional[GpuSpec],
+                  ssd_spec: SsdSpec, cpu_costs: CpuCosts,
+                  gpu_costs: GpuKernelCosts, tracer: Optional[Tracer]
+                  ) -> tuple[ReductionPipeline, PipelineReport]:
+    """Build a fresh simulated platform and run ``stream`` through it.
 
-    ``tracer`` (a :class:`~repro.obs.SimTracer`) is bound to the run's
-    environment and threaded through every timed subsystem; the default
-    is the zero-cost null tracer.
-
-    ``payload`` switches the workload to real bytes (the functional
-    data plane: hashing, codecs, memos) instead of descriptors; it is
-    required for ``PipelineConfig.verify_memos`` to have anything to
-    verify.
-
-    Returns the :class:`~repro.core.stats.PipelineReport`.
+    The one platform builder behind :func:`run_mode` and
+    :func:`repro.tenancy.runner.run_tenant_mix`: Env, CPU, GPU, SSD and
+    pipeline, in that order.  Returns the pipeline (for callers that
+    fold its subsystems into their report) and its report.
     """
-    config = (base_config or PipelineConfig()).with_overrides(mode=mode)
+    mode = config.mode
     if gpu_spec is None and (mode.gpu_for_dedup
                              or mode.gpu_for_compression):
         raise ValueError(f"mode {mode.value} needs a GPU spec")
@@ -94,14 +84,44 @@ def run_mode(mode: IntegrationMode, n_chunks: int,
     pipeline = ReductionPipeline(env, config, cpu=cpu, gpu=gpu, ssd=ssd,
                                  cpu_costs=cpu_costs, gpu_costs=gpu_costs,
                                  tracer=tracer)
+    if pipeline.verifier is not None and isinstance(stream, VdbenchStream):
+        # A vdbench stream's payload-cache hits are replayed too.
+        stream.verifier = pipeline.verifier
+    source = stream.chunks_batched(n_chunks, config.functional_batch)
+    return pipeline, pipeline.run(source, total=n_chunks)
+
+
+def run_mode(mode: IntegrationMode, n_chunks: int,
+             base_config: Optional[PipelineConfig] = None,
+             cpu_spec: CpuSpec = I7_2600K,
+             gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
+             ssd_spec: SsdSpec = SAMSUNG_SSD_830,
+             cpu_costs: CpuCosts = DEFAULT_COSTS,
+             gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
+             dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
+             seed: int = 1234, tracer: Optional[Tracer] = None,
+             payload: bool = False) -> PipelineReport:
+    """Run one integration mode on a fresh simulated platform.
+
+    ``tracer`` (a :class:`~repro.obs.SimTracer`) is bound to the run's
+    environment and threaded through every timed subsystem; the default
+    is the zero-cost null tracer.
+
+    ``payload`` switches the workload to real bytes (the functional
+    data plane: hashing, codecs, memos) instead of descriptors; it is
+    required for ``PipelineConfig.verify_memos`` to have anything to
+    verify.
+
+    Returns the :class:`~repro.core.stats.PipelineReport`.
+    """
+    config = (base_config or PipelineConfig()).with_overrides(mode=mode)
     stream = VdbenchStream(dedup_ratio=dedup_ratio, comp_ratio=comp_ratio,
                            chunk_size=config.chunk_size, seed=seed,
                            payload=payload)
-    if pipeline.verifier is not None:
-        stream.verifier = pipeline.verifier
-    source = (stream.chunks_batched(n_chunks, config.functional_batch)
-              if config.batched_functional else stream.chunks(n_chunks))
-    return pipeline.run(source, total=n_chunks)
+    _, report = _run_platform(config, stream, n_chunks, cpu_spec,
+                              gpu_spec, ssd_spec, cpu_costs, gpu_costs,
+                              tracer)
+    return report
 
 
 def calibrate_mode(base_config: Optional[PipelineConfig] = None,

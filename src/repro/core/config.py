@@ -83,15 +83,11 @@ class PipelineConfig:
     index_locking: str = "bins"
 
     # -- batched functional plane -----------------------------------------
-    #: Operate the functional plane on chunk *windows* instead of one
-    #: chunk at a time: the feeder materializes windows, fingerprints
-    #: them in one batched hashing pass, pre-dispatches codec windows
-    #: (dedup-disabled configurations), and coalesces the shutdown-drain
-    #: destage into one vectored SSD request.  Timed per-chunk event
-    #: ordering is untouched — only untimed functional work is batched —
-    #: so reports are byte-identical with the flag off (DESIGN.md §12).
-    batched_functional: bool = True
-    #: Chunks per functional-plane window.
+    #: Chunks per functional-plane window: the feeder materializes the
+    #: stream in windows of this size, fingerprints each window in one
+    #: batched hashing pass and pre-dispatches its codec work
+    #: (dedup-disabled configurations).  Admission stays per chunk, so
+    #: reports do not depend on it (DESIGN.md §12).
     functional_batch: int = 64
 
     # -- arrival shaping ------------------------------------------------------

@@ -33,7 +33,6 @@ is only possible on those terms).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Generator, Iterable, Optional
 
 from repro.chunkbatch import iter_windows
@@ -48,6 +47,9 @@ from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.cpu.model import SimCpu
 from repro.dedup.engine import DedupEngine
 from repro.dedup.gpu_index import GpuBinIndex
+# fingerprint_chunk is not called here.  It stays a re-export because the
+# repository benchmark (perfbench/tracing.py) times hashing at this
+# module's global.
 from repro.dedup.hashing import (PayloadHashMemo, fingerprint_chunk,
                                  fingerprint_window)
 from repro.dedup.replacement import RandomReplacement
@@ -57,6 +59,7 @@ from repro.gpu.device import GpuDevice
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stages import (
     CTR_BUFFER_HITS,
+    CTR_GPU_HITS,
     CTR_PENDING_HITS,
     STAGE_ADMISSION,
     STAGE_CHUNK,
@@ -77,7 +80,6 @@ from repro.obs.stages import (
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.tenancy.controller import (
     ADMIT_HIT,
-    ADMIT_MISS,
     ADMIT_SKIP,
     TenancyController,
 )
@@ -87,6 +89,8 @@ from repro.sim.histogram import LatencyHistogram
 from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ssd import SsdModel
 from repro.types import Chunk
+
+__all__ = ["ReductionPipeline", "fingerprint_chunk"]
 
 
 class ReductionPipeline:
@@ -185,7 +189,6 @@ class ReductionPipeline:
         self._done = 0
         self._total = 0
         self._finished = env.event()
-        self._destage_procs = 0
         # -- statistics --
         self.bytes_in = 0
         self.destage_batches = 0
@@ -233,342 +236,229 @@ class ReductionPipeline:
         return decision
 
     def _index_execute(self, cycles: float) -> Generator:
-        """Charge CPU cycles for index work, honouring the lock baseline.
+        """Charge CPU cycles for index work under the global index lock.
 
         The paper's bins need no lock ("without locking mechanism"); the
         conventional shared-table baseline serializes here.
         """
-        if self._index_lock is None:
-            yield self.cpu.charge(cycles)
-            return
         with self._index_lock.request() as lock:
             yield lock
             yield from self.cpu.execute(cycles)
 
     def _chunk_worker(self, chunk: Chunk, slot, seq: int = 0) -> Generator:
-        """Per-chunk pipeline process: ingest through commit.
+        """Per-chunk pipeline process: one lifecycle, ingest to commit.
 
-        The whole chunk lifecycle lives in ONE generator frame —
-        a nested ``yield from`` delegate would add a frame hop to
-        every event resume on the hottest path in the simulator.
+        1. **ingest** — chunking, plus SHA-1 when the chunk is indexed;
+        2. **dedup verdict** — the tenancy cache probe, or GPU then CPU
+           index, in-flight wait and bin-buffer re-probe; it only names
+           the duplicate path (``dup_path``);
+        3. **compression** of unique chunks — CPU codec, or GPU batch +
+           CPU post-processing;
+        4. **commit** — the path picks the metadata record (a duplicate
+           maps onto its stored copy) and the destage shape; one tail
+           charges, traces and destages for every path.
 
-        ``seq`` is the chunk's admission sequence number, used only as
-        its trace identity.  All tracing is guarded by ``trace`` being
-        non-None, so an untraced run executes the exact event sequence
-        it executed before tracing existed; the derived timing math
-        (queue-wait vs. service splits) lives in the tracer, never here.
+        It all lives in ONE generator frame: a nested ``yield from``
+        delegate would add a frame hop to every event resume on the
+        hottest path in the simulator.  ``seq`` is the chunk's admission
+        sequence number, used only as its trace identity.  Tracing is
+        guarded by ``trace`` being non-None, so an untraced run makes no
+        tracer calls; the derived timing math (queue-wait vs. service
+        splits) lives in the tracer, never here.
         """
         admitted = self.env.now
         trace = self.tracer if self.tracer.enabled else None
+        cfg = self.config
+        costs = self.costs
+        dedup = self.dedup
+        tenancy = self.tenancy
+        tenant_id = chunk.tenant if chunk.tenant is not None else 0
         try:
-            cfg = self.config
-            costs = self.costs
-            tenancy = self.tenancy
             verdict = None
-            tenant_id = 0
-            if cfg.enable_dedup and tenancy is not None:
+            if tenancy is not None:
                 # Multi-tenant admission (DESIGN.md §15): the verdict
                 # comes from the bounded inline fingerprint cache, not
-                # the unbounded index.  Hits commit against the
-                # canonical record; misses and skips fall through to
-                # compression and store (canonically or as a deferred
-                # shadow copy — see the commit section below).
-                if chunk.fingerprint is None:
-                    fingerprint_chunk(chunk)
-                tenant_id = chunk.tenant if chunk.tenant is not None \
-                    else 0
+                # the unbounded index.
                 verdict = tenancy.admit(tenant_id, chunk.fingerprint)
-                if verdict == ADMIT_SKIP:
-                    # Inline skip: low-locality stream — no hash, no
-                    # cache probe on the inline path; compaction
-                    # re-fingerprints the chunk in the background.
-                    cycles = (costs.chunking_cycles(chunk.size,
-                                                    cfg.content_defined)
-                              + costs.handoff_per_chunk)
-                    yield self.cpu.charge(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_CHUNKING, seq, admitted,
-                            expected_service_s=self.cpu.seconds(cycles))
-                    chunk.is_duplicate = False
-                else:
-                    ingest = (self.dedup.ingest_cycles(
-                        chunk, cfg.content_defined)
-                        + costs.handoff_per_chunk)
-                    yield self.cpu.charge(ingest)
-                    if trace is not None:
-                        chunking = costs.chunking_cycles(
-                            chunk.size, cfg.content_defined)
-                        trace.record_split(
-                            (STAGE_CHUNKING, STAGE_FINGERPRINT), seq,
-                            admitted,
-                            weights=(chunking, ingest - chunking),
-                            expected_service_s=self.cpu.seconds(ingest))
-                    start = self.env.now if trace is not None else 0.0
-                    yield self.cpu.charge(costs.bin_buffer_probe)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_CPU_INDEX, seq, start,
-                            expected_service_s=self.cpu.seconds(
-                                costs.bin_buffer_probe),
-                            attrs={"path": "tenant_cache"})
-                    if verdict == ADMIT_HIT and self.dedup.metadata \
-                            .lookup(chunk.fingerprint) is not None:
-                        chunk.is_duplicate = True
-                        start = self.env.now if trace is not None else 0.0
-                        cycles = self.dedup.commit_duplicate(chunk)
-                        yield self.cpu.charge(cycles)
-                        if trace is not None:
-                            trace.record_since(
-                                STAGE_COMMIT, seq, start,
-                                expected_service_s=self.cpu.seconds(
-                                    cycles),
-                                attrs={"path": "tenant_hit"})
-                        return
-                    # A hit whose canonical record is still in flight
-                    # (or is a compaction-promoted shadow) cannot
-                    # dedup inline; it falls through to a raw shadow
-                    # store and compaction recovers the duplicate.
-                    chunk.is_duplicate = False
-            elif cfg.enable_dedup:
-                if chunk.fingerprint is None:
-                    # The batched feeder fingerprints whole windows up
-                    # front; only per-chunk admission still hashes here.
-                    fingerprint_chunk(chunk)
-                # One coalesced charge for ingest (chunk + hash) plus the
-                # stage handoff: a single acquire/hold/release round trip.
-                ingest = (self.dedup.ingest_cycles(chunk,
-                                                   cfg.content_defined)
+            # An inline skip (a low-locality stream) is neither hashed
+            # nor probed; compaction re-fingerprints it in the background.
+            indexed = dedup is not None and verdict != ADMIT_SKIP
+
+            # -- ingest: one coalesced charge with the stage handoff --
+            if indexed:
+                cycles = (dedup.ingest_cycles(chunk, cfg.content_defined)
                           + costs.handoff_per_chunk)
-                yield self.cpu.charge(ingest)
-                if trace is not None:
-                    # The coalesced charge covers two workflow stages;
-                    # split the measured interval by cycle weight.
-                    chunking = costs.chunking_cycles(chunk.size,
-                                                     cfg.content_defined)
-                    trace.record_split(
-                        (STAGE_CHUNKING, STAGE_FINGERPRINT), seq,
-                        admitted, weights=(chunking, ingest - chunking),
-                        expected_service_s=self.cpu.seconds(ingest))
-
-                gpu_definitive = False
-                if self._should_offload_index():
-                    # The batcher records the gpu_index span itself
-                    # (submit -> kernel completion, per item).
-                    hit = yield self._index_batcher.submit(
-                        chunk.fingerprint, trace_id=seq)
-                    if hit:
-                        start = self.env.now if trace is not None else 0.0
-                        cycles = self.dedup.note_gpu_hit(chunk)
-                        yield self.cpu.charge(cycles)
-                        if trace is not None:
-                            trace.record_since(
-                                STAGE_COMMIT, seq, start,
-                                expected_service_s=self.cpu.seconds(cycles),
-                                attrs={"path": "gpu_hit"})
-                        return
-                    # An eviction-free GPU index mirrors every flushed entry,
-                    # so its miss proves the fingerprint is not in the tree.
-                    gpu_definitive = self.dedup.gpu_index.evictions == 0
-
-                start = self.env.now if trace is not None else 0.0
-                outcome = self.dedup.cpu_index_partial(chunk) if gpu_definitive \
-                    else self.dedup.cpu_index(chunk)
-                if self._index_lock is None:
-                    yield self.cpu.charge(outcome.cpu_cycles)
-                else:
-                    yield from self._index_execute(outcome.cpu_cycles)
-                if trace is not None:
-                    trace.record_since(
-                        STAGE_CPU_INDEX, seq, start,
-                        expected_service_s=self.cpu.seconds(
-                            outcome.cpu_cycles),
-                        attrs={"path": outcome.path})
-                if outcome.duplicate:
-                    start = self.env.now if trace is not None else 0.0
-                    cycles = self.dedup.commit_duplicate(chunk)
-                    yield self.cpu.charge(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_COMMIT, seq, start,
-                            expected_service_s=self.cpu.seconds(cycles),
-                            attrs={"path": "duplicate"})
-                    return
-                # In-flight check: another worker may be compressing this very
-                # content right now.  Wait for its commit, then dedup onto it.
-                pending = self._pending.get(chunk.fingerprint)
-                if pending is not None:
-                    start = self.env.now if trace is not None else 0.0
-                    yield pending
-                    if trace is not None:
-                        trace.record_since(STAGE_PENDING_WAIT, seq, start)
-                    self.dedup.counters[CTR_PENDING_HITS] += 1
-                    chunk.is_duplicate = True
-                    start = self.env.now if trace is not None else 0.0
-                    cycles = self.dedup.commit_duplicate(chunk)
-                    yield self.cpu.charge(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_COMMIT, seq, start,
-                            expected_service_s=self.cpu.seconds(cycles),
-                            attrs={"path": "pending"})
-                    return
-                # Our index probe ran earlier in simulated time; a twin may
-                # have committed since.  Its fingerprint would be in the bin
-                # buffer *now*, so re-probe before claiming uniqueness.
-                if self.dedup.bin_buffer.lookup(chunk.fingerprint) is not None:
-                    self.dedup.counters[CTR_BUFFER_HITS] += 1
-                    chunk.is_duplicate = True
-                    start = self.env.now if trace is not None else 0.0
-                    cycles = self.costs.bin_buffer_probe \
-                        + self.dedup.commit_duplicate(chunk)
-                    if self._index_lock is None:
-                        yield self.cpu.charge(cycles)
-                    else:
-                        yield from self._index_execute(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_COMMIT, seq, start,
-                            expected_service_s=self.cpu.seconds(cycles),
-                            attrs={"path": "buffer_reprobe"})
-                    return
-                self._pending[chunk.fingerprint] = self.env.event()
             else:
-                ingest = (costs.chunking_cycles(chunk.size,
+                cycles = (costs.chunking_cycles(chunk.size,
                                                 cfg.content_defined)
                           + costs.handoff_per_chunk)
-                yield self.cpu.charge(ingest)
-                if trace is not None:
-                    trace.record_since(
-                        STAGE_CHUNKING, seq, admitted,
-                        expected_service_s=self.cpu.seconds(ingest))
+            yield self.cpu.charge(cycles)
+            if trace is not None:
+                # Split the measured interval by cycle weight across the
+                # workflow stages the charge covers.
+                stages, weights = (STAGE_CHUNKING,), (cycles,)
+                if indexed:
+                    chunking = costs.chunking_cycles(chunk.size,
+                                                     cfg.content_defined)
+                    stages = (STAGE_CHUNKING, STAGE_FINGERPRINT)
+                    weights = (chunking, cycles - chunking)
+                trace.record_split(
+                    stages, seq, admitted, weights=weights,
+                    expected_service_s=self.cpu.seconds(cycles))
 
-            # -- unique chunk: compression stage --
-            blob: Optional[bytes] = None
-            if cfg.enable_compression:
-                if self._comp_batcher is not None:
-                    # The batcher records the compress span itself.
-                    raw = yield self._comp_batcher.submit(chunk,
-                                                          trace_id=seq)
-                    start = self.env.now if trace is not None else 0.0
-                    result = self.gpu_comp.postprocess(chunk, raw)
-                    cycles = result.cpu_cycles + costs.handoff_per_chunk
-                    yield self.cpu.charge(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_POSTPROCESS, seq, start,
-                            expected_service_s=self.cpu.seconds(cycles))
+            # -- dedup verdict --
+            dup_path = None
+            gpu_definitive = False
+            if indexed and tenancy is None and self._should_offload_index():
+                # The batcher records the gpu_index span itself
+                # (submit -> kernel completion, per item).
+                hit = yield self._index_batcher.submit(chunk.fingerprint,
+                                                       trace_id=seq)
+                if hit:
+                    dedup.counters[CTR_GPU_HITS] += 1
+                    dup_path = "gpu_hit"
                 else:
-                    start = self.env.now if trace is not None else 0.0
-                    result = self._precomp.pop(seq, None)
-                    if result is None:
-                        result = self.cpu_comp.compress(chunk)
-                    cycles = result.cpu_cycles + costs.handoff_per_chunk
-                    yield self.cpu.charge(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_COMPRESS, seq, start,
-                            expected_service_s=self.cpu.seconds(cycles),
-                            resource="cpu",
-                            attrs={"stored_raw": result.stored_raw})
-                blob = result.blob
-            else:
-                chunk.compressed_size = chunk.size
-
-            # -- commit --
-            if cfg.enable_dedup and tenancy is not None:
+                    # An eviction-free GPU index mirrors every flushed
+                    # entry, so its miss proves the fingerprint is not
+                    # in the tree.
+                    gpu_definitive = dedup.gpu_index.evictions == 0
+            if indexed and dup_path is None:
                 start = self.env.now if trace is not None else 0.0
-                fingerprint = chunk.fingerprint
-                metadata = self.dedup.metadata
-                if chunk.compressed_size is None:
-                    chunk.compressed_size = chunk.size
-                if tenancy.store_as_unique(verdict, fingerprint,
-                                           metadata):
-                    metadata.store_unique(fingerprint, chunk.size,
-                                          chunk.compressed_size,
-                                          blob=blob)
-                    metadata.map_logical(chunk.offset, fingerprint,
-                                         chunk.size)
-                    tenancy.commit_stored(tenant_id)
-                    path = "tenant_unique"
+                lock = None
+                if tenancy is not None:
+                    cycles, path = costs.bin_buffer_probe, "tenant_cache"
                 else:
-                    # Raw shadow copy: an inline skip, or a miss whose
-                    # canonical owner already exists (hidden duplicate).
-                    # Compaction remaps it and sweeps the blob later.
-                    shadow = hashlib.sha1(
-                        f"tenancy-shadow:{seq}".encode()).digest()
-                    metadata.store_unique(shadow, chunk.size,
-                                          chunk.compressed_size,
-                                          blob=blob)
-                    metadata.map_logical(chunk.offset, shadow,
-                                         chunk.size)
-                    tenancy.defer(seq, tenant_id, chunk.offset,
-                                  chunk.size, fingerprint, shadow)
-                    tenancy.commit_shadow(tenant_id)
-                    path = "tenant_shadow"
-                cycles = (costs.bin_buffer_insert + costs.metadata_update
-                          + costs.destage_submit)
-                yield self.cpu.charge(cycles)
-                if trace is not None:
-                    trace.record_since(
-                        STAGE_COMMIT, seq, start,
-                        expected_service_s=self.cpu.seconds(cycles),
-                        attrs={"path": path})
-                if cfg.destage_enabled:
-                    self._spawn_destage(chunk.compressed_size,
-                                        sequential=False)
-                    self.destage_batches += 1
-                    self.destage_bytes += chunk.compressed_size
-                ready = tenancy.take_compaction_batch()
-                if ready is not None:
-                    self._spawn_compaction(ready)
-            elif cfg.enable_dedup:
-                start = self.env.now if trace is not None else 0.0
-                cycles, batch, unique = self.dedup.commit_unique(chunk, blob)
-                pending = self._pending.pop(chunk.fingerprint, None)
-                if pending is not None:
-                    pending.succeed()
-                if self._index_lock is None:
+                    outcome = dedup.cpu_index_partial(chunk) \
+                        if gpu_definitive else dedup.cpu_index(chunk)
+                    cycles, path = outcome.cpu_cycles, outcome.path
+                    lock = self._index_lock
+                if lock is None:
                     yield self.cpu.charge(cycles)
                 else:
                     yield from self._index_execute(cycles)
                 if trace is not None:
                     trace.record_since(
-                        STAGE_COMMIT, seq, start,
+                        STAGE_CPU_INDEX, seq, start,
                         expected_service_s=self.cpu.seconds(cycles),
-                        attrs={"path": "unique" if unique
-                               else "race_duplicate"})
-                if batch is not None and cfg.destage_enabled:
-                    self._spawn_destage(batch.payload_bytes, sequential=True)
-                    self.destage_batches += 1
-                    self.destage_bytes += batch.payload_bytes
-            else:
+                        attrs={"path": path})
+                if tenancy is not None:
+                    # A hit whose canonical record is still in flight
+                    # (or is a compaction-promoted shadow) cannot dedup
+                    # inline; it falls through to a raw shadow store and
+                    # compaction recovers the duplicate.
+                    if verdict == ADMIT_HIT and dedup.metadata.lookup(
+                            chunk.fingerprint) is not None:
+                        dup_path = "tenant_hit"
+                elif outcome.duplicate:
+                    dup_path = "duplicate"
+                elif chunk.fingerprint in self._pending:
+                    # In flight: another worker is compressing this very
+                    # content right now.  Wait for its commit, then dedup
+                    # onto it.
+                    start = self.env.now if trace is not None else 0.0
+                    yield self._pending[chunk.fingerprint]
+                    if trace is not None:
+                        trace.record_since(STAGE_PENDING_WAIT, seq, start)
+                    dedup.counters[CTR_PENDING_HITS] += 1
+                    dup_path = "pending"
+                elif dedup.bin_buffer.lookup(chunk.fingerprint) is not None:
+                    # Our index probe ran earlier in simulated time; a
+                    # twin may have committed since, so re-probe the bin
+                    # buffer before claiming uniqueness.
+                    dedup.counters[CTR_BUFFER_HITS] += 1
+                    dup_path = "buffer_reprobe"
+                else:
+                    self._pending[chunk.fingerprint] = self.env.event()
+
+            # -- compression: unique chunks only --
+            blob: Optional[bytes] = None
+            if dup_path is None and cfg.enable_compression:
+                if self._comp_batcher is not None:
+                    # The batcher records the compress span itself.
+                    raw = yield self._comp_batcher.submit(chunk,
+                                                          trace_id=seq)
+                    result = self.gpu_comp.postprocess(chunk, raw)
+                    stage, resource, attrs = STAGE_POSTPROCESS, None, None
+                else:
+                    result = self._precomp.pop(seq, None)
+                    if result is None:
+                        result = self.cpu_comp.compress(chunk)
+                    stage, resource = STAGE_COMPRESS, "cpu"
+                    attrs = {"stored_raw": result.stored_raw}
                 start = self.env.now if trace is not None else 0.0
-                # Commit + metadata coalesced into one charge.
-                cycles = costs.metadata_update + costs.destage_submit
+                cycles = result.cpu_cycles + costs.handoff_per_chunk
                 yield self.cpu.charge(cycles)
                 if trace is not None:
                     trace.record_since(
-                        STAGE_COMMIT, seq, start,
-                        expected_service_s=self.cpu.seconds(cycles))
-                if cfg.destage_enabled:
-                    self._spawn_destage(chunk.compressed_size, sequential=False)
-                    self.destage_batches += 1
-                    self.destage_bytes += chunk.compressed_size
+                        stage, seq, start,
+                        expected_service_s=self.cpu.seconds(cycles),
+                        resource=resource, attrs=attrs)
+                blob = result.blob
+            elif dup_path is None:
+                chunk.compressed_size = chunk.size
+
+            # -- commit: the record, then one charge, span and destage --
+            start = self.env.now if trace is not None else 0.0
+            path = dup_path
+            lock = None
+            destage = chunk.compressed_size
+            sequential = False
+            if dup_path is not None:
+                # A duplicate maps onto its stored copy.
+                chunk.is_duplicate = True
+                cycles = dedup.commit_duplicate(chunk)
+                destage = None
+                if dup_path == "buffer_reprobe":
+                    # The re-probe is index work, under the lock baseline.
+                    cycles = costs.bin_buffer_probe + cycles
+                    lock = self._index_lock
+            elif tenancy is not None:
+                path = tenancy.commit_unique(seq, tenant_id, chunk, verdict,
+                                             blob, dedup.metadata)
+                cycles = (costs.bin_buffer_insert + costs.metadata_update
+                          + costs.destage_submit)
+            elif dedup is not None:
+                # Staged in the bin buffer: only a full bin destages, as
+                # one sequential write.
+                cycles, batch, unique = dedup.commit_unique(chunk, blob)
+                pending = self._pending.pop(chunk.fingerprint, None)
+                if pending is not None:
+                    pending.succeed()
+                path = "unique" if unique else "race_duplicate"
+                destage = batch.payload_bytes if batch is not None else None
+                sequential = True
+                lock = self._index_lock
+            else:
+                # Commit + metadata coalesced into one charge.
+                cycles = costs.metadata_update + costs.destage_submit
+            if lock is None:
+                yield self.cpu.charge(cycles)
+            else:
+                yield from self._index_execute(cycles)
+            if trace is not None:
+                trace.record_since(
+                    STAGE_COMMIT, seq, start,
+                    expected_service_s=self.cpu.seconds(cycles),
+                    attrs={"path": path} if path is not None else None)
+            if destage is not None and cfg.destage_enabled:
+                self._destage(destage, sequential)
+            if tenancy is not None and dup_path is None:
+                # Stores fill compaction batches; the storing worker
+                # hands a full one off.
+                ready = tenancy.take_compaction_batch()
+                if ready is not None:
+                    self._spawn_compaction(ready)
 
         finally:
             elapsed = self.env.now - admitted
             self.latency.record(elapsed)
-            if self.tenancy is not None:
-                self.tenancy.record_latency(
-                    chunk.tenant if chunk.tenant is not None else 0,
-                    elapsed)
+            if tenancy is not None:
+                tenancy.record_latency(tenant_id, elapsed)
             if trace is not None:
                 # The whole-chunk envelope: exactly the latency sample.
                 attrs = {"duplicate": bool(chunk.is_duplicate)}
-                if self.tenancy is not None:
-                    attrs["tenant"] = chunk.tenant \
-                        if chunk.tenant is not None else 0
+                if tenancy is not None:
+                    attrs["tenant"] = tenant_id
                 trace.record(STAGE_CHUNK, seq, start=admitted,
                              attrs=attrs)
             self._window.release(slot)
@@ -576,7 +466,10 @@ class ReductionPipeline:
             if self._done == self._total:
                 self._finished.succeed()
 
-    def _spawn_destage(self, nbytes: int, sequential: bool) -> None:
+    def _destage(self, nbytes: int, sequential: bool) -> None:
+        """Count one destage batch and write it as a background process."""
+        self.destage_batches += 1
+        self.destage_bytes += nbytes
         if nbytes <= 0:
             return
 
@@ -602,44 +495,9 @@ class ReductionPipeline:
 
         self.env.process(compaction())
 
-    def _spawn_destage_vector(self, sizes: list[int],
-                              sequential: bool) -> None:
-        def destage() -> Generator:
-            with self.tracer.span(STAGE_DESTAGE, resource=TRACK_DESTAGE,
-                                  bytes=sum(sizes), sequential=sequential,
-                                  vector=len(sizes)):
-                yield from self.ssd.submit_vector(sizes,
-                                                  sequential=sequential)
-
-        self.env.process(destage())
-
     # -- run ----------------------------------------------------------------
 
     def _feeder(self, chunks: Iterable[Chunk]) -> Generator:
-        if self.config.batched_functional:
-            yield from self._feeder_batched(chunks)
-            return
-        rate = self.config.arrival_rate_iops
-        gap = 1.0 / rate if rate else 0.0
-        next_admission = 0.0
-        trace = self.tracer if self.tracer.enabled else None
-        for seq, chunk in enumerate(chunks):
-            if gap:
-                delay = next_admission - self.env.now
-                if delay > 0:
-                    yield self.env.timeout(delay)
-                next_admission = max(next_admission, self.env.now) + gap
-            request = self._window.request()
-            requested = self.env.now if trace is not None else 0.0
-            yield request
-            if trace is not None:
-                # Pure queueing for a window slot, before admission.
-                trace.record_since(STAGE_ADMISSION, seq, requested,
-                                   resource=TRACK_WINDOW)
-            self.bytes_in += chunk.size
-            self.env.process(self._chunk_worker(chunk, request, seq))
-
-    def _feeder_batched(self, chunks: Iterable[Chunk]) -> Generator:
         """Window-batched feeder: the array-native functional plane.
 
         Per window, the untimed functional work runs once up front —
@@ -649,7 +507,7 @@ class ReductionPipeline:
         admission seq.  Admission itself — pacing, window-slot
         acquisition, worker spawn — stays strictly per chunk, so the
         timed event schedule (and therefore every report field) is
-        identical to the per-chunk feeder's (DESIGN.md §12).
+        identical to one-chunk-at-a-time admission (DESIGN.md §12).
         """
         cfg = self.config
         rate = cfg.arrival_rate_iops
@@ -684,6 +542,7 @@ class ReductionPipeline:
                 requested = self.env.now if trace is not None else 0.0
                 yield request
                 if trace is not None:
+                    # Pure queueing for a window slot, before admission.
                     trace.record_since(STAGE_ADMISSION, seq, requested,
                                        resource=TRACK_WINDOW)
                 self.bytes_in += chunk.size
@@ -711,17 +570,11 @@ class ReductionPipeline:
                 batcher.stop()
         # Shutdown drain: partially filled bins still hold staged data;
         # it must reach the SSD for the endurance ledger to balance.
-        # The drain stays event-per-batch even in batched mode: a
-        # coalesced submit_vector reproduces the wear ledger and the
-        # *sum* of channel busy time exactly, but the utilization
-        # integral accumulates through a different float segmentation
-        # and drifts by an ULP — and the report contract is *byte*
-        # identity, not mathematical identity (DESIGN.md §12).
+        # One write per bin: a coalesced submit_vector would drift the
+        # utilization integral by an ULP (DESIGN.md §12).
         if self.dedup is not None and self.config.destage_enabled:
             for batch in self.dedup.drain():
-                self._spawn_destage(batch.payload_bytes, sequential=True)
-                self.destage_batches += 1
-                self.destage_bytes += batch.payload_bytes
+                self._destage(batch.payload_bytes, sequential=True)
         # Out-of-line compaction drain: every still-deferred shadow copy
         # gets its background epoch before the report reads the
         # metadata store, so recovered duplicates fold into dedup_ratio.

@@ -30,7 +30,6 @@ from repro.errors import DedupError
 from repro.obs.stages import (
     CTR_BUFFER_HITS,
     CTR_FLUSHES,
-    CTR_GPU_HITS,
     CTR_RACE_DUPLICATES,
     CTR_RESTARTS,
     CTR_TREE_HITS,
@@ -151,12 +150,6 @@ class DedupEngine:
         chunk.is_duplicate = False
         return IndexOutcome(False, "unique", cycles)
 
-    def note_gpu_hit(self, chunk: Chunk) -> float:
-        """Record a GPU-index duplicate; returns metadata-update cycles."""
-        self.counters[CTR_GPU_HITS] += 1
-        chunk.is_duplicate = True
-        return self.commit_duplicate(chunk)
-
     # -- commits ------------------------------------------------------------
 
     def commit_duplicate(self, chunk: Chunk) -> float:
@@ -261,7 +254,3 @@ class DedupEngine:
     def dedup_ratio(self) -> float:
         """Achieved logical/unique ratio from the metadata ledger."""
         return self.metadata.dedup_ratio()
-
-    def index_entries(self) -> int:
-        """Entries across tree + buffer (GPU mirrors a subset)."""
-        return len(self.bin_table) + len(self.bin_buffer)

@@ -2,8 +2,9 @@
 
 Everything the core pipeline needs from the tenancy subsystem goes
 through :class:`TenancyController`: an inline verdict per chunk
-(:data:`ADMIT_HIT` / :data:`ADMIT_MISS` / :data:`ADMIT_SKIP`), commit
-notifications, compaction batch hand-off, and per-tenant accounting.
+(:data:`ADMIT_HIT` / :data:`ADMIT_MISS` / :data:`ADMIT_SKIP`), the
+store of every chunk that reaches compression, compaction batch
+hand-off, and per-tenant accounting.
 Estimator sketches, cache partitions and residency quotas stay private
 to this package — REP901 patrols that boundary the same way REP801
 guards shard state.
@@ -22,12 +23,16 @@ The verdict contract under a non-default policy:
 
 from __future__ import annotations
 
+import hashlib
+from typing import Optional
+
 from repro.errors import ConfigError
 from repro.storage.metadata import MetadataStore
 from repro.tenancy.accounting import TenantAccounting
 from repro.tenancy.admission import PrioritizedCache, SharedLruCache
 from repro.tenancy.compaction import CompactionEntry, CompactionQueue
 from repro.tenancy.locality import LocalityEstimator
+from repro.types import Chunk
 
 __all__ = ["ADMIT_HIT", "ADMIT_MISS", "ADMIT_SKIP",
            "TenancyController"]
@@ -115,43 +120,44 @@ class TenancyController:
                       for tenant, estimator in estimators.items()}
         self._cache.set_shares(shares)
 
-    # -- commit notifications ------------------------------------------------
+    # -- commit ---------------------------------------------------------------
 
-    def store_as_unique(self, verdict: str, fingerprint: bytes,
-                        metadata: MetadataStore) -> bool:
-        """True when a missed chunk should store canonically.
+    def commit_unique(self, seq: int, tenant: int, chunk: Chunk,
+                      verdict: str, blob: Optional[bytes],
+                      metadata: MetadataStore) -> str:
+        """Store a chunk that reached compression; returns its path.
 
-        A miss stores under its real fingerprint only when no record
-        (stored or compaction-promoted) already owns that fingerprint;
-        otherwise it is a *hidden duplicate* — the bounded cache lost
-        the entry — and must store as a deferred shadow copy instead.
+        A miss stores under its real fingerprint (``"tenant_unique"``)
+        only when no record (stored or compaction-promoted) already owns
+        that fingerprint.  Anything else — an inline skip, or a *hidden
+        duplicate* whose entry the bounded cache lost — stores a raw
+        shadow copy (``"tenant_shadow"``) queued for compaction, which
+        remaps it and sweeps the blob later.
         """
-        return (verdict == ADMIT_MISS
-                and metadata.lookup(fingerprint) is None
+        fingerprint = chunk.fingerprint
+        if (verdict == ADMIT_MISS and metadata.lookup(fingerprint) is None
                 and self._compaction.canonical_shadow(fingerprint)
-                is None)
-
-    def commit_stored(self, tenant: int) -> None:
-        """A chunk of ``tenant`` stored canonically (cache already holds
-        its fingerprint — :meth:`admit` inserts on miss)."""
+                is None):
+            record, path = fingerprint, "tenant_unique"
+        else:
+            record = hashlib.sha1(
+                f"tenancy-shadow:{seq}".encode()).digest()
+            self._compaction.defer(CompactionEntry(
+                seq=seq, tenant=tenant, offset=chunk.offset,
+                size=chunk.size, fingerprint=fingerprint,
+                shadow_fp=record))
+            path = "tenant_shadow"
+        metadata.store_unique(record, chunk.size, chunk.compressed_size,
+                              blob=blob)
+        metadata.map_logical(chunk.offset, record, chunk.size)
         self.accounting.note_stored(tenant)
-
-    def commit_shadow(self, tenant: int) -> None:
-        """A chunk stored raw under a shadow fingerprint (skip path)."""
-        self.accounting.note_stored(tenant)
+        return path
 
     def record_latency(self, tenant: int, seconds: float) -> None:
         """Fold one chunk's inline latency into the tenant's histogram."""
         self.accounting.record_latency(tenant, seconds)
 
     # -- compaction hand-off -------------------------------------------------
-
-    def defer(self, seq: int, tenant: int, offset: int, size: int,
-              fingerprint: bytes, shadow_fp: bytes) -> None:
-        """Queue a shadow-stored chunk for out-of-line dedup."""
-        self._compaction.defer(CompactionEntry(
-            seq=seq, tenant=tenant, offset=offset, size=size,
-            fingerprint=fingerprint, shadow_fp=shadow_fp))
 
     def take_compaction_batch(self):
         """A full epoch batch when one is ready, else None."""

@@ -1,8 +1,8 @@
 """End-to-end multi-tenant runs (the ``repro run --tenants`` path).
 
-:func:`run_tenant_mix` mirrors :func:`repro.core.calibration.run_mode`'s
-platform construction exactly — same environment, specs, costs and
-tracer threading — but feeds the pipeline a
+:func:`run_tenant_mix` runs on the platform builder behind
+:func:`repro.core.calibration.run_mode` — same environment, specs,
+costs and tracer threading — but feeds the pipeline a
 :class:`~repro.tenancy.spec.TenantMixStream` instead of a single
 vdbench stream and folds the admission controller's per-tenant
 accounting into a :class:`TenancyRunReport` next to the ordinary
@@ -19,16 +19,16 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from repro.core.calibration import _run_platform
 from repro.core.config import IntegrationMode, PipelineConfig
 from repro.core.pipeline import ReductionPipeline
 from repro.core.stats import PipelineReport
 from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
-from repro.cpu.model import CpuSpec, I7_2600K, SimCpu
+from repro.cpu.model import CpuSpec, I7_2600K
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
-from repro.gpu.device import GpuDevice, GpuSpec, RADEON_HD_7970
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim import Environment
-from repro.storage.ssd import SAMSUNG_SSD_830, SsdModel, SsdSpec
+from repro.gpu.device import GpuSpec, RADEON_HD_7970
+from repro.obs.tracer import Tracer
+from repro.storage.ssd import SAMSUNG_SSD_830, SsdSpec
 from repro.tenancy.spec import TenantMix, TenantMixStream
 
 __all__ = ["TenancyRunReport", "TenantReportEntry", "run_tenant_mix"]
@@ -90,10 +90,10 @@ def run_tenant_mix(mix: TenantMix, mode: IntegrationMode, n_chunks: int,
                    payload: bool = False) -> TenancyRunReport:
     """Run a tenant mix through one integration mode; full report.
 
-    The platform is constructed in exactly
-    :func:`~repro.core.calibration.run_mode`'s order so a one-tenant
-    mix under the default ``tenancy_policy="none"`` produces a
-    byte-identical :class:`PipelineReport`.  An open-loop mix overrides
+    The platform comes from the same builder as
+    :func:`~repro.core.calibration.run_mode`, so a one-tenant mix under
+    the default ``tenancy_policy="none"`` produces a byte-identical
+    :class:`PipelineReport`.  An open-loop mix overrides
     ``arrival_rate_iops`` with the mix's aggregate rate so the feeder
     paces admissions at the tenants' combined Poisson rate.
     """
@@ -101,25 +101,11 @@ def run_tenant_mix(mix: TenantMix, mode: IntegrationMode, n_chunks: int,
     if mix.open_loop:
         config = config.with_overrides(
             arrival_rate_iops=mix.total_rate_iops)
-    if gpu_spec is None and (mode.gpu_for_dedup
-                             or mode.gpu_for_compression):
-        raise ValueError(f"mode {mode.value} needs a GPU spec")
-    if tracer is None:
-        tracer = NULL_TRACER
-    env = Environment()
-    tracer.bind(env)
-    cpu = SimCpu(env, cpu_spec)
-    gpu = (GpuDevice(env, gpu_spec, tracer=tracer)
-           if gpu_spec is not None else None)
-    ssd = SsdModel(env, ssd_spec, tracer=tracer)
-    pipeline = ReductionPipeline(env, config, cpu=cpu, gpu=gpu, ssd=ssd,
-                                 cpu_costs=cpu_costs,
-                                 gpu_costs=gpu_costs, tracer=tracer)
     stream = TenantMixStream(mix, chunk_size=config.chunk_size,
                              payload=payload)
-    source = (stream.chunks_batched(n_chunks, config.functional_batch)
-              if config.batched_functional else stream.chunks(n_chunks))
-    report = pipeline.run(source, total=n_chunks)
+    pipeline, report = _run_platform(config, stream, n_chunks, cpu_spec,
+                                     gpu_spec, ssd_spec, cpu_costs,
+                                     gpu_costs, tracer)
     return _fold_report(pipeline, report, mix, stream)
 
 

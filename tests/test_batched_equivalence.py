@@ -1,11 +1,13 @@
 """Batched-vs-per-chunk equivalence over adversarial corpora.
 
-The batched functional plane's contract is *byte identity*: with
-``batched_functional`` on, every ``PipelineReport`` field — duration,
-counters, utilizations, the shutdown drain's tail — must equal the
-retained per-chunk path's, not approximately but exactly (DESIGN.md
-§12).  The hypothesis suite here hammers that claim with the corpora
-most likely to break a batch-level shortcut:
+The batched functional plane's contract is *byte identity*: every
+``PipelineReport`` field — duration, counters, utilizations, the
+shutdown drain's tail — must equal the per-chunk reference's
+(:mod:`tests.reference_pipeline`), not approximately but exactly
+(DESIGN.md §12).  The reference also reproduces the pinned golden
+report digests in every integration mode.  The hypothesis suite here
+hammers the claim with the corpora most likely to break a batch-level
+shortcut:
 
 - **dup-heavy** — a handful of payloads repeated, so the hash memo and
   the codec result memo replay almost everything;
@@ -21,12 +23,15 @@ vectored SSD write.
 """
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.dedup import GOLDEN_REPORT_CHUNKS, GOLDEN_REPORT_SHA256
 from repro.chunkbatch import iter_windows
 from repro.compression.parallel_cpu import CpuCompressor
 from repro.core import IntegrationMode, PipelineConfig, ReductionPipeline
@@ -47,6 +52,7 @@ from repro.storage import (
 )
 from repro.types import Chunk
 from repro.workload import VdbenchStream
+from tests.reference_pipeline import ReferencePipeline, run_reference_mode
 
 CHUNK_SIZE = 256
 CORPORA = ("dup_heavy", "all_zero", "incompressible", "byte_shifted")
@@ -78,12 +84,13 @@ def run_report(payloads: list[bytes], mode: IntegrationMode,
                batched: bool) -> dict:
     """One full pipeline run (shutdown drain included) as a dict."""
     config = PipelineConfig(
-        mode=mode, batched_functional=batched, functional_batch=8,
+        mode=mode, functional_batch=8,
         window=16, gpu_index_batch=8, gpu_comp_batch=8,
         gpu_batch_wait_s=5e-4, bin_buffer_capacity=8,
         bin_buffer_total=64)
     env = Environment()
-    pipeline = ReductionPipeline(env, config)
+    pipeline_cls = ReductionPipeline if batched else ReferencePipeline
+    pipeline = pipeline_cls(env, config)
     chunks = corpus_chunks(payloads)
     report = pipeline.run(iter(chunks), total=len(chunks))
     return dataclasses.asdict(report)
@@ -109,6 +116,14 @@ class TestEndToEndEquivalence:
         batched = run_report(payloads, mode, batched=True)
         reference = run_report(payloads, mode, batched=False)
         assert batched == reference
+
+    @pytest.mark.parametrize("mode", list(IntegrationMode))
+    def test_reference_reproduces_golden_report(self, mode):
+        report = dataclasses.asdict(
+            run_reference_mode(mode, GOLDEN_REPORT_CHUNKS))
+        canonical = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(canonical.encode()).hexdigest() == \
+            GOLDEN_REPORT_SHA256[mode.value]
 
 
 class TestBatchedWorkload:
